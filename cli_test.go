@@ -325,6 +325,36 @@ func TestTermcheckCacheFilePersists(t *testing.T) {
 	}
 }
 
+// TestTermcheckCacheFileReplaysWitness is the diverging sibling of
+// TestTermcheckCacheFilePersists: the warm run replays the whole flat
+// analysis from the snapshot's stage ledger, and its witness lines — the
+// sticky lasso and the guarded database — match the cold run byte for byte.
+func TestTermcheckCacheFileReplaysWitness(t *testing.T) {
+	bin := binary(t, "termcheck")
+	snap := filepath.Join(t.TempDir(), "cache.snap")
+	cacheLine := regexp.MustCompile(`(?m)^cache: hits=(\d+) misses=\d+ entries=\d+ bytes=\d+ evictions=\d+ evicted-entries=\d+\n`)
+
+	cold, code := run(t, bin, "-cache-file", snap, "testdata/conformance/ladder.chase")
+	if code != 1 {
+		t.Fatalf("cold exit = %d, want 1\n%s", code, cold)
+	}
+	for _, want := range []string{"witness (sticky): ", "witness (guarded): "} {
+		if !strings.Contains(cold, want) {
+			t.Fatalf("cold report lacks %q:\n%s", want, cold)
+		}
+	}
+	warm, code := run(t, bin, "-cache-file", snap, "testdata/conformance/ladder.chase")
+	if code != 1 {
+		t.Fatalf("warm exit = %d, want 1\n%s", code, warm)
+	}
+	if m := cacheLine.FindStringSubmatch(warm); m == nil || m[1] == "0" {
+		t.Errorf("warm run reports no cache hits:\n%s", warm)
+	}
+	if cacheLine.ReplaceAllString(warm, "") != cacheLine.ReplaceAllString(cold, "") {
+		t.Errorf("warm diverging report drifted beyond the stats line:\n%s\nvs\n%s", warm, cold)
+	}
+}
+
 // TestTermcheckPortfolio pins the -portfolio surface: the staged summary
 // lines, exit codes identical to the plain analysis on terminating,
 // diverging and unknown inputs, and the cache: stats line under -cache.

@@ -29,8 +29,8 @@
 //
 // -cache routes the run through a cross-run chase cache
 // (internal/chase/cache.go): seed pools, seed chase outcomes, the engine's
-// initial trigger queues, sticky Büchi lasso verdicts, whole portfolio
-// runs and whole -exists search outcomes are memoised on (TGD-set
+// initial trigger queues, sticky Büchi lasso verdicts, whole flat and
+// portfolio analyses and whole -exists search outcomes are memoised on (TGD-set
 // fingerprint, instance fingerprint) keys, and a `cache:` stats line
 // reports hits/misses/entries/bytes and stripe evictions. Verdicts are
 // bit-identical with and without the cache.
@@ -78,7 +78,7 @@ func main() {
 	probeSteps := flag.Int("probe-steps", guarded.DefaultProbeSteps, "per-seed step budget k of the -portfolio Tier 1 probe")
 	adaptive := flag.Bool("adaptive", false, "let an online cost model reorder the -portfolio cheap stages per workload class and pick the probe budget (persists through -cache-file; verdicts are unchanged; an explicit -probe-steps is respected)")
 	workers := flag.Int("workers", 1, "parallel workers for the -exists search and the -portfolio Tier 2 race (1 = sequential)")
-	useCache := flag.Bool("cache", false, "memoise chase work (guarded seeds, sticky Büchi verdicts, -exists searches, portfolio runs) in a cross-run cache and report a cache: stats line")
+	useCache := flag.Bool("cache", false, "memoise chase work (guarded seeds, sticky Büchi verdicts, -exists searches, whole flat and portfolio analyses) in a cross-run cache and report a cache: stats line")
 	cacheFile := flag.String("cache-file", "", "persist the cross-run cache: load the snapshot at this path if it exists and save it back atomically on exit (implies -cache)")
 	cacheSaveEvery := flag.Duration("cache-save-every", 0, "also snapshot the -cache-file cache on this cadence during the run, so a crash loses at most one interval of warm work (0: save at exit only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to the file")
@@ -209,6 +209,7 @@ func runAnalyze(prog *parser.Program, guardedBudget, stickyStates int, cache *ch
 	rep, err := core.Analyze(prog.TGDs, core.Options{
 		GuardedOptions: guarded.DecideOptions{MaxSteps: guardedBudget, Cache: cache},
 		StickyOptions:  sticky.DecideOptions{MaxStates: stickyStates, Cache: cache},
+		Cache:          cache,
 	})
 	if err != nil {
 		return fail(err)

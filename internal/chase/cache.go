@@ -24,13 +24,24 @@ package chase
 //     set, keyed by the pool cap. A hit skips seed generation — including
 //     the oblivious-chase treeification expansions, the expensive part —
 //     and rebuilds fresh Database values from stored atoms.
+//   - stage outcomes (portfolio.Analyze and core.AnalyzeContext): a whole
+//     ∀∀ analysis as a stage ledger, keyed by the caller's budget salt. The
+//     portfolio stores its cascade's stages, the flat analysis one record
+//     per reason; their salts differ, so both coexist for one set. A hit
+//     replays the answer without running any check.
+//   - sticky outcomes (sticky.Decide): the Büchi verdict with its lasso,
+//     keyed by the state bound.
+//   - exists outcomes (chase.SearchTerminatingDerivation): the ∀∃ search
+//     result, a two-rung ladder per (strategy, atom bound).
+//   - cost models (portfolio.CostModel): the learned per-class stage costs,
+//     keyed by the class string.
 //
 // Key derivation: the set fingerprint is tgds.Set.Fingerprint (order-
 // sensitive over rule labels and atoms — the identity under which runs and
 // evidence strings are reproducible); the instance fingerprint is the
 // order-independent logic.FingerprintAtoms / Instance.Fingerprint of the
 // database. The kind and any scalar parameters (budget, pool cap) are
-// folded into a salt so the three kinds never collide. Fingerprint equality
+// folded into a salt so the kinds never collide. Fingerprint equality
 // is trusted as content equality, like every other fingerprint consumer.
 //
 // Concurrency contract (docs/ARCHITECTURE.md): the cache is shared by the
@@ -176,7 +187,8 @@ type SeedPool struct {
 }
 
 // StageRecord is one stage's outcome inside a cached StageOutcomes entry:
-// what a portfolio stage attempted and decided for a set. Verdict strings
+// what a portfolio stage attempted and decided for a set, or one reason of
+// a flat analysis and the stage that gave it. Verdict strings
 // ("terminates"/"diverges"/"unknown") keep the entry free of higher-layer
 // types; Steps and DurationNS record the stage's work when it ran live.
 type StageRecord struct {
@@ -185,9 +197,9 @@ type StageRecord struct {
 	Decided bool
 	Verdict string
 	Detail  string
-	// Evidence carries a stage's divergence certificate (the Tier 1
-	// probe's confirmed guard-chain pump) so warm replays serve the
-	// certificate string, not just the verdict.
+	// Evidence carries what a replay cannot rebuild from the set: the
+	// Tier 1 probe's confirmed guard-chain pump, or a flat analysis'
+	// witness line or never-firing labels.
 	Evidence   string
 	Steps      int
 	DurationNS int64
@@ -200,8 +212,9 @@ type StageRecord struct {
 	Depth     int
 }
 
-// StageOutcomes is a cached portfolio run: the per-stage records plus the
-// combined verdict and the deciding stage. Entries are keyed by the set
+// StageOutcomes is a cached ∀∀ analysis — a portfolio run or a flat
+// core.AnalyzeContext report: the per-stage records plus the combined
+// verdict and the deciding stage. Entries are keyed by the set
 // fingerprint, the instance fingerprint of the request's database (zero
 // for pure rule sets — keeping the ledger's diagnostics honest about which
 // database they describe) and an options salt (the caller folds its
@@ -599,7 +612,7 @@ func stageOutcomesKey(set, inst logic.Fingerprint, salt uint64) CacheKey {
 	return CacheKey{Set: set, Inst: inst, Salt: kindStageOutcomes | (salt &^ (uint64(0xFF) << 56))}
 }
 
-// LookupStageOutcomes returns the cached portfolio stage outcomes of the
+// LookupStageOutcomes returns the cached stage outcomes of the
 // (set, database) pair under the options salt (inst is the zero
 // fingerprint for pure rule sets). The caller must not mutate the result.
 func (c *Cache) LookupStageOutcomes(set, inst logic.Fingerprint, salt uint64) (*StageOutcomes, bool) {
@@ -610,7 +623,7 @@ func (c *Cache) LookupStageOutcomes(set, inst logic.Fingerprint, salt uint64) (*
 	return v.(*StageOutcomes), true
 }
 
-// StoreStageOutcomes records a portfolio run's stage outcomes. The entry
+// StoreStageOutcomes records an analysis' stage outcomes. The entry
 // must not be mutated afterwards.
 func (c *Cache) StoreStageOutcomes(set, inst logic.Fingerprint, salt uint64, o *StageOutcomes) {
 	c.store(stageOutcomesKey(set, inst, salt), o, stageOutcomesSize(o))

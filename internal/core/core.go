@@ -9,10 +9,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"strings"
 
 	"airct/internal/acyclicity"
+	"airct/internal/chase"
 	"airct/internal/guarded"
+	"airct/internal/logic"
 	"airct/internal/sticky"
 	"airct/internal/tgds"
 )
@@ -68,16 +71,47 @@ type Report struct {
 	// folds into body over the frontier; see acyclicity.PruneNeverFiring).
 	NeverFiring []string
 
-	// GuardedVerdict is set when the guarded procedure ran.
+	// GuardedVerdict is set when the guarded procedure ran (nil on a
+	// replayed report).
 	GuardedVerdict *guarded.Verdict
-	// StickyVerdict is set when the sticky (Büchi) procedure ran.
+	// StickyVerdict is set when the sticky (Büchi) procedure ran (nil on a
+	// replayed report).
 	StickyVerdict *sticky.Verdict
 
 	// Conclusion aggregates the verdicts; Reasons explains each input to
 	// the aggregation, in order of application.
 	Conclusion Conclusion
 	Reasons    []string
+	// CacheHit is true when the report was replayed from Options.Cache
+	// without running any check. Its Conclusion, Reasons, flags,
+	// NeverFiring and Summary are byte-identical to the cold report's.
+	CacheHit bool
+
+	// ledger is the report in the cache's portable shape, built as the
+	// analysis runs: one record per reason, in order, named after the stage
+	// that gave it (the portfolio's stage vocabulary; empty for the EGD
+	// gating notes and the undecidable fallback). Decided marks a
+	// conclusion that agreed with the aggregate. Evidence holds what the
+	// set alone cannot rebuild: the witness line Summary prints (sticky,
+	// guarded) and the newline-joined NeverFiring labels (jointree-prune).
+	// A prune that removed rules without deciding leaves a record with an
+	// empty Detail: it carries NeverFiring but is not a reason.
+	ledger []chase.StageRecord
 }
+
+// The ledger's stage names: the portfolio's names for the same checks.
+const (
+	stageFull  = "full"
+	stageWA    = "weak-acyclicity"
+	stageJA    = "joint-acyclicity"
+	stagePrune = "jointree-prune"
+	stageMFA   = "mfa"
+	stageStick = "sticky"
+	stageGuard = "guarded"
+)
+
+// DefaultMFASteps is what Options resolves a zero MFASteps to.
+const DefaultMFASteps = 20_000
 
 // Options configures the analyzer.
 type Options struct {
@@ -86,19 +120,51 @@ type Options struct {
 	// StickyOptions tunes the Büchi exploration.
 	StickyOptions sticky.DecideOptions
 	// MFASteps bounds the MFA check's semi-oblivious critical-instance
-	// chase (0: 20_000 steps). The check is skipped with SkipBaselines.
+	// chase (0: DefaultMFASteps). The check is skipped with SkipBaselines.
 	MFASteps int
 	// SkipBaselines disables the sufficient-condition checks — WA, JA,
 	// the never-firing prune and MFA — used by experiments that time the
 	// decision procedures in isolation.
 	SkipBaselines bool
+	// Cache, when set, memoises the whole analysis as a stage ledger in the
+	// cache's StageOutcomes kind, keyed by the set fingerprint, the zero
+	// instance fingerprint and a salt folding in every budget (never
+	// worker counts), like portfolio.Options.Cache. A hit replays the
+	// report without running any check. GuardedOptions.Cache and
+	// StickyOptions.Cache are independent of it.
+	Cache *chase.Cache
 }
 
 func (o Options) mfaSteps() int {
 	if o.MFASteps <= 0 {
-		return 20_000
+		return DefaultMFASteps
 	}
 	return o.MFASteps
+}
+
+// salt folds every budget the analysis resolves into the ledger key. The
+// "flat" tag keeps flat entries apart from portfolio entries for the same
+// set and budgets; worker counts are excluded because verdicts are
+// worker-invariant.
+func (o Options) salt() uint64 {
+	g, st := o.GuardedOptions, o.StickyOptions
+	h := fnv.New64a()
+	fmt.Fprintf(h, "flat|%d|%d|%d|%d|%t",
+		orDefault(g.MaxSteps, guarded.DefaultMaxSteps),
+		orDefault(g.MaxSeeds, guarded.DefaultMaxSeeds),
+		orDefault(st.MaxStates, sticky.DefaultMaxStates),
+		o.mfaSteps(), o.SkipBaselines)
+	for _, db := range g.ExtraSeeds {
+		fmt.Fprintf(h, "|%v", db.Fingerprint())
+	}
+	return h.Sum64()
+}
+
+func orDefault(v, def int) int {
+	if v <= 0 {
+		return def
+	}
+	return v
 }
 
 // Analyze inspects the set and decides CT^res_∀∀ membership where the
@@ -112,12 +178,33 @@ func Analyze(set *tgds.Set, opts Options) (*Report, error) {
 // procedures that can run long), which observe it inside their inner loops
 // and return its error promptly. The report is bit-identical to Analyze's
 // on an uncancelled context — the baselines and the procedure order are
-// unchanged.
+// unchanged. With Options.Cache set, a finished analysis is stored as a
+// stage ledger and a later call with the same set and budgets replays it;
+// a cancelled or failed analysis stores nothing.
 func AnalyzeContext(ctx context.Context, set *tgds.Set, opts Options) (*Report, error) {
 	if set.Len() == 0 && !set.HasEGDs() {
 		return nil, fmt.Errorf("core: empty TGD set")
 	}
-	r := &Report{
+	var salt uint64
+	if opts.Cache != nil {
+		salt = opts.salt()
+		if so, ok := opts.Cache.LookupStageOutcomes(set.Fingerprint(), logic.Fingerprint{}, salt); ok {
+			return replay(set, so), nil
+		}
+	}
+	r, err := analyze(ctx, set, opts)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Cache != nil && ctx.Err() == nil {
+		opts.Cache.StoreStageOutcomes(set.Fingerprint(), logic.Fingerprint{}, salt, r.outcomes())
+	}
+	return r, nil
+}
+
+// newReport fills the syntactic class flags, which the set determines.
+func newReport(set *tgds.Set) *Report {
+	return &Report{
 		SingleHead:      set.IsSingleHead(),
 		Guarded:         set.IsGuarded(),
 		Linear:          set.IsLinear(),
@@ -126,14 +213,18 @@ func AnalyzeContext(ctx context.Context, set *tgds.Set, opts Options) (*Report, 
 		FrontierGuarded: set.IsFrontierGuarded(),
 		EGDs:            set.NumEGDs(),
 	}
+}
+
+func analyze(ctx context.Context, set *tgds.Set, opts Options) (*Report, error) {
+	r := newReport(set)
 	if r.Full {
 		// Full (existential-free) sets never invent nulls: every chase is
 		// bounded by the closure of the active domain. Equality steps only
 		// merge existing terms, so the bound survives arbitrary EGDs.
 		if set.HasEGDs() {
-			r.conclude(Terminates, "existential-free TGDs with EGDs: no invented values, and equality steps strictly shrink the term count")
+			r.conclude(stageFull, Terminates, "existential-free TGDs with EGDs: no invented values, and equality steps strictly shrink the term count")
 		} else {
-			r.conclude(Terminates, "full (existential-free) set: the chase cannot invent values")
+			r.conclude(stageFull, Terminates, "full (existential-free) set: the chase cannot invent values")
 		}
 	}
 	if !opts.SkipBaselines {
@@ -147,17 +238,17 @@ func AnalyzeContext(ctx context.Context, set *tgds.Set, opts Options) (*Report, 
 		r.WeaklyAcyclic = acyclicity.IsWeaklyAcyclic(set)
 		if r.WeaklyAcyclic {
 			if set.HasEGDs() {
-				r.conclude(Terminates, "weak acyclicity of the TGDs (sufficient with arbitrary EGDs, Fagin et al.)")
+				r.conclude(stageWA, Terminates, "weak acyclicity of the TGDs (sufficient with arbitrary EGDs, Fagin et al.)")
 			} else {
-				r.conclude(Terminates, "weak acyclicity (sufficient condition)")
+				r.conclude(stageWA, Terminates, "weak acyclicity (sufficient condition)")
 			}
 		}
 		if set.HasEGDs() {
-			r.reason("EGDs present: joint acyclicity, the never-firing prune and MFA are TGD-only baselines and were skipped")
+			r.reason("", "EGDs present: joint acyclicity, the never-firing prune and MFA are TGD-only baselines and were skipped")
 		} else {
 			r.JointlyAcyclic = acyclicity.IsJointlyAcyclic(set)
 			if r.JointlyAcyclic {
-				r.conclude(Terminates, "joint acyclicity (sufficient condition)")
+				r.conclude(stageJA, Terminates, "joint acyclicity (sufficient condition)")
 			}
 			if pruned, removed := acyclicity.PruneNeverFiring(set); len(removed) > 0 {
 				for _, i := range removed {
@@ -165,18 +256,21 @@ func AnalyzeContext(ctx context.Context, set *tgds.Set, opts Options) (*Report, 
 				}
 				switch {
 				case pruned == nil:
-					r.conclude(Terminates, fmt.Sprintf("jointree prune: all %d TGDs are never-firing (head folds into body over the frontier)", len(removed)))
+					r.conclude(stagePrune, Terminates, fmt.Sprintf("jointree prune: all %d TGDs are never-firing (head folds into body over the frontier)", len(removed)))
 				case pruned.IsFull():
-					r.conclude(Terminates, fmt.Sprintf("jointree prune: %d never-firing TGDs removed; remainder is existential-free", len(removed)))
+					r.conclude(stagePrune, Terminates, fmt.Sprintf("jointree prune: %d never-firing TGDs removed; remainder is existential-free", len(removed)))
 				case acyclicity.IsWeaklyAcyclic(pruned):
-					r.conclude(Terminates, fmt.Sprintf("jointree prune: %d never-firing TGDs removed; remainder is weakly acyclic", len(removed)))
+					r.conclude(stagePrune, Terminates, fmt.Sprintf("jointree prune: %d never-firing TGDs removed; remainder is weakly acyclic", len(removed)))
 				case acyclicity.IsJointlyAcyclic(pruned):
-					r.conclude(Terminates, fmt.Sprintf("jointree prune: %d never-firing TGDs removed; remainder is jointly acyclic", len(removed)))
+					r.conclude(stagePrune, Terminates, fmt.Sprintf("jointree prune: %d never-firing TGDs removed; remainder is jointly acyclic", len(removed)))
+				default:
+					r.reason(stagePrune, "") // carries NeverFiring only
 				}
+				r.evidence(strings.Join(r.NeverFiring, "\n"))
 			}
 			if mfa := acyclicity.CheckMFA(set, opts.mfaSteps()); mfa.Acyclic {
 				r.MFA = true
-				r.conclude(Terminates, fmt.Sprintf("MFA: semi-oblivious critical-instance chase saturated in %d steps (sufficient condition)", mfa.Steps))
+				r.conclude(stageMFA, Terminates, fmt.Sprintf("MFA: semi-oblivious critical-instance chase saturated in %d steps (sufficient condition)", mfa.Steps))
 			}
 		}
 	}
@@ -188,14 +282,16 @@ func AnalyzeContext(ctx context.Context, set *tgds.Set, opts Options) (*Report, 
 		r.StickyVerdict = v
 		if v.Terminates {
 			if v.Complete {
-				r.conclude(Terminates, "sticky Büchi automaton A_T is empty (Theorem 6.1)")
+				r.conclude(stageStick, Terminates, "sticky Büchi automaton A_T is empty (Theorem 6.1)")
 			} else {
-				r.reason("sticky Büchi exploration incomplete (state bound); no witness found")
+				r.reason(stageStick, "sticky Büchi exploration incomplete (state bound); no witness found")
 			}
 		} else {
-			r.conclude(Diverges, fmt.Sprintf(
+			r.conclude(stageStick, Diverges, fmt.Sprintf(
 				"sticky Büchi witness: caterpillar lasso of length %d+%d (Theorem 6.1)",
 				len(v.Lasso.Prefix), len(v.Lasso.Cycle)))
+			r.evidence(fmt.Sprintf("witness (sticky): seed %v, lasso prefix %v cycle %v",
+				v.Seed.EType, v.Lasso.Prefix, v.Lasso.Cycle))
 		}
 	}
 	if r.Guarded {
@@ -206,37 +302,103 @@ func AnalyzeContext(ctx context.Context, set *tgds.Set, opts Options) (*Report, 
 		r.GuardedVerdict = v
 		switch {
 		case v.Terminates && v.Method == "weak-acyclicity":
-			r.conclude(Terminates, "guarded: weak acyclicity")
+			r.conclude(stageGuard, Terminates, "guarded: weak acyclicity")
 		case v.Terminates:
-			r.conclude(Terminates, fmt.Sprintf("guarded: %d seeds exhausted at budget %d (Theorem 5.1, bounded search)", v.SeedsTried, v.Budget))
+			r.conclude(stageGuard, Terminates, fmt.Sprintf("guarded: %d seeds exhausted at budget %d (Theorem 5.1, bounded search)", v.SeedsTried, v.Budget))
 		case v.Method == "divergence-witness":
-			r.conclude(Diverges, fmt.Sprintf("guarded: diverging witness database (%s)", v.Evidence))
+			r.conclude(stageGuard, Diverges, fmt.Sprintf("guarded: diverging witness database (%s)", v.Evidence))
 		default:
-			r.reason(fmt.Sprintf("guarded: budget exhausted without certificate (%s)", v.Evidence))
+			r.reason(stageGuard, fmt.Sprintf("guarded: budget exhausted without certificate (%s)", v.Evidence))
+		}
+		if !v.Terminates && v.Witness != nil {
+			r.evidence(fmt.Sprintf("witness (guarded): database %v", v.Witness))
 		}
 	}
 	if set.HasEGDs() && r.Conclusion == Unknown {
-		r.reason("the guarded and sticky decision procedures are TGD-only and do not run on sets with EGDs")
+		r.reason("", "the guarded and sticky decision procedures are TGD-only and do not run on sets with EGDs")
 	}
 	if r.Conclusion == Unknown && len(r.Reasons) == 0 {
-		r.reason("outside the guarded and sticky classes; no sufficient condition fired (CT^res_∀∀ is undecidable in general, Theorem 3.6)")
+		r.reason("", "outside the guarded and sticky classes; no sufficient condition fired (CT^res_∀∀ is undecidable in general, Theorem 3.6)")
 	}
 	return r, nil
 }
 
 // conclude records a verdict with its justification, surfacing
 // contradictions between procedures loudly instead of masking them.
-func (r *Report) conclude(c Conclusion, why string) {
+func (r *Report) conclude(stage string, c Conclusion, why string) {
 	if r.Conclusion != Unknown && r.Conclusion != c {
-		r.Reasons = append(r.Reasons, fmt.Sprintf("CONTRADICTION: %s says %v but prior verdict was %v", why, c, r.Conclusion))
+		r.reason(stage, fmt.Sprintf("CONTRADICTION: %s says %v but prior verdict was %v", why, c, r.Conclusion))
 		return
 	}
 	r.Conclusion = c
 	r.Reasons = append(r.Reasons, why)
+	r.ledger = append(r.ledger, chase.StageRecord{Stage: stage, Decided: true, Verdict: c.String(), Detail: why})
 }
 
-func (r *Report) reason(why string) {
-	r.Reasons = append(r.Reasons, why)
+// reason records a non-concluding justification; an empty why adds a
+// ledger record without a reason.
+func (r *Report) reason(stage, why string) {
+	if why != "" {
+		r.Reasons = append(r.Reasons, why)
+	}
+	r.ledger = append(r.ledger, chase.StageRecord{Stage: stage, Verdict: Unknown.String(), Detail: why})
+}
+
+// evidence attaches to the latest ledger record what replay cannot rebuild
+// from the set.
+func (r *Report) evidence(s string) {
+	r.ledger[len(r.ledger)-1].Evidence = s
+}
+
+// outcomes converts a finished report into the portable cache entry. The
+// entry shares the report's ledger, which is never mutated afterwards.
+func (r *Report) outcomes() *chase.StageOutcomes {
+	so := &chase.StageOutcomes{Verdict: r.Conclusion.String(), Records: r.ledger}
+	for _, rec := range r.ledger {
+		if rec.Decided {
+			so.DecidedBy = rec.Stage
+			break
+		}
+	}
+	return so
+}
+
+// replay rebuilds a report from its ledger. The syntactic class flags come
+// from the set; each baseline flag is set exactly when its stage left a
+// record, because a baseline gives a reason only when it accepts.
+func replay(set *tgds.Set, so *chase.StageOutcomes) *Report {
+	r := newReport(set)
+	r.Conclusion = ParseConclusion(so.Verdict)
+	r.CacheHit = true
+	r.ledger = so.Records
+	for _, rec := range so.Records {
+		if rec.Detail != "" {
+			r.Reasons = append(r.Reasons, rec.Detail)
+		}
+		switch rec.Stage {
+		case stageWA:
+			r.WeaklyAcyclic = true
+		case stageJA:
+			r.JointlyAcyclic = true
+		case stageMFA:
+			r.MFA = true
+		case stagePrune:
+			r.NeverFiring = strings.Split(rec.Evidence, "\n")
+		}
+	}
+	return r
+}
+
+// ParseConclusion inverts Conclusion.String; any other string is Unknown.
+func ParseConclusion(s string) Conclusion {
+	switch s {
+	case "terminates":
+		return Terminates
+	case "diverges":
+		return Diverges
+	default:
+		return Unknown
+	}
 }
 
 // Summary renders the report for terminals.
@@ -266,12 +428,10 @@ func (r *Report) Summary() string {
 	for _, why := range r.Reasons {
 		fmt.Fprintf(&b, "  - %s\n", why)
 	}
-	if r.StickyVerdict != nil && !r.StickyVerdict.Terminates {
-		fmt.Fprintf(&b, "witness (sticky): seed %v, lasso prefix %v cycle %v\n",
-			r.StickyVerdict.Seed.EType, r.StickyVerdict.Lasso.Prefix, r.StickyVerdict.Lasso.Cycle)
-	}
-	if r.GuardedVerdict != nil && !r.GuardedVerdict.Terminates && r.GuardedVerdict.Witness != nil {
-		fmt.Fprintf(&b, "witness (guarded): database %v\n", r.GuardedVerdict.Witness)
+	for _, rec := range r.ledger {
+		if (rec.Stage == stageStick || rec.Stage == stageGuard) && rec.Evidence != "" {
+			fmt.Fprintf(&b, "%s\n", rec.Evidence)
+		}
 	}
 	return b.String()
 }

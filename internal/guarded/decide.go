@@ -45,11 +45,18 @@ type Verdict struct {
 	Budget int
 }
 
+// Budget defaults: what DecideOptions resolves a zero MaxSteps or MaxSeeds
+// to. Callers that fold the resolved budgets into a cache key use them too.
+const (
+	DefaultMaxSteps = 2000
+	DefaultMaxSeeds = 256
+)
+
 // DecideOptions configures the decision procedure.
 type DecideOptions struct {
-	// MaxSteps is the per-seed restricted-chase budget (0: 2000).
+	// MaxSteps is the per-seed restricted-chase budget (0: DefaultMaxSteps).
 	MaxSteps int
-	// MaxSeeds caps the candidate databases (0: 256).
+	// MaxSeeds caps the candidate databases (0: DefaultMaxSeeds).
 	MaxSeeds int
 	// ExtraSeeds adds caller-provided databases to the pool.
 	ExtraSeeds []*instance.Database
@@ -78,14 +85,14 @@ type DecideOptions struct {
 
 func (o DecideOptions) maxSteps() int {
 	if o.MaxSteps <= 0 {
-		return 2000
+		return DefaultMaxSteps
 	}
 	return o.MaxSteps
 }
 
 func (o DecideOptions) maxSeeds() int {
 	if o.MaxSeeds <= 0 {
-		return 256
+		return DefaultMaxSeeds
 	}
 	return o.MaxSeeds
 }
@@ -100,8 +107,9 @@ func (o DecideOptions) workers() int {
 // Decide decides CT^res_∀∀(G) for a single-head guarded set.
 //
 // The paper reduces the complement to MSOL satisfiability over infinite
-// trees (Theorem 5.1); per DESIGN.md §3 this implementation replaces the
-// MSOL step with a bounded certificate search over the same objects:
+// trees (Theorem 5.1); this implementation replaces the MSOL step with a
+// bounded certificate search over the same objects (docs/ARCHITECTURE.md,
+// "The guarded decision"):
 //
 //  1. weak acyclicity proves termination outright;
 //  2. otherwise, seed databases are generated from the TGD bodies —

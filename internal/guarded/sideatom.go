@@ -11,8 +11,8 @@
 // scope for any implementation, so Decide replaces that final step with a
 // bounded certificate search over the same objects — seed acyclic databases
 // derived from the TGD bodies (the treeification viewpoint) chased with
-// divergence-evidence detection on the guard forest. DESIGN.md §3 documents
-// the substitution.
+// divergence-evidence detection on the guard forest. docs/ARCHITECTURE.md
+// ("The guarded decision") documents the substitution.
 package guarded
 
 import (

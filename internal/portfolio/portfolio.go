@@ -77,7 +77,7 @@ type Options struct {
 	// Sticky tunes the sticky racer. Its Cache field is overwritten with
 	// Options.Cache, so a warm cache also serves the Büchi lasso verdicts.
 	Sticky sticky.DecideOptions
-	// MFASteps bounds the MFA check (0: 20_000, matching core.Options).
+	// MFASteps bounds the MFA check (0: core.DefaultMFASteps).
 	MFASteps int
 	// ProbeSteps is the Tier 1 per-seed step budget k
 	// (0: guarded.DefaultProbeSteps).
@@ -119,10 +119,10 @@ func resolved(v, def int) int {
 func (o Options) salt() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%d|%d|%d",
-		resolved(o.Guarded.MaxSteps, 2000),
-		resolved(o.Guarded.MaxSeeds, 256),
-		resolved(o.Sticky.MaxStates, 200_000),
-		resolved(o.MFASteps, 20_000),
+		resolved(o.Guarded.MaxSteps, guarded.DefaultMaxSteps),
+		resolved(o.Guarded.MaxSeeds, guarded.DefaultMaxSeeds),
+		resolved(o.Sticky.MaxStates, sticky.DefaultMaxStates),
+		resolved(o.MFASteps, core.DefaultMFASteps),
 		resolved(o.ProbeSteps, guarded.DefaultProbeSteps))
 	return h.Sum64()
 }
@@ -360,7 +360,7 @@ func (r *runner) tier0Check(name string, s *StageOutcome) {
 			s.Detail = "skipped: MFA is a TGD-only baseline (set has EGDs)"
 			return
 		}
-		mfa := acyclicity.CheckMFA(set, resolved(r.opts.MFASteps, 20_000))
+		mfa := acyclicity.CheckMFA(set, resolved(r.opts.MFASteps, core.DefaultMFASteps))
 		s.Steps = mfa.Steps
 		if mfa.Acyclic {
 			s.Decided = true
@@ -659,7 +659,7 @@ func record(res *Result) *chase.StageOutcomes {
 // replayed stages did not run.
 func replay(so *chase.StageOutcomes) *Result {
 	res := &Result{
-		Conclusion: parseConclusion(so.Verdict),
+		Conclusion: core.ParseConclusion(so.Verdict),
 		DecidedBy:  so.DecidedBy,
 		CacheHit:   true,
 		Stages:     make([]StageOutcome, len(so.Records)),
@@ -669,7 +669,7 @@ func replay(so *chase.StageOutcomes) *Result {
 			Stage:      rec.Stage,
 			Tier:       rec.Tier,
 			Decided:    rec.Decided,
-			Conclusion: parseConclusion(rec.Verdict),
+			Conclusion: core.ParseConclusion(rec.Verdict),
 			Detail:     rec.Detail,
 			Steps:      rec.Steps,
 			Seeds:      rec.Seeds,
@@ -679,15 +679,4 @@ func replay(so *chase.StageOutcomes) *Result {
 		}
 	}
 	return res
-}
-
-func parseConclusion(s string) core.Conclusion {
-	switch s {
-	case "terminates":
-		return core.Terminates
-	case "diverges":
-		return core.Diverges
-	default:
-		return core.Unknown
-	}
 }

@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -301,5 +302,51 @@ func TestWorkersOneIsSequentialCascade(t *testing.T) {
 		if s.Stage == "guarded" && s.Detail != "skipped: an earlier stage decided" {
 			t.Errorf("W=1 loser not skipped: %+v", s)
 		}
+	}
+}
+
+// TestGuardedRacerBranchesSequential drives the guarded racer's outcomes
+// with one worker, so no other racer can finish first and the branch taken
+// does not depend on scheduling: a probe budget of one step routes both
+// guarded, non-sticky sets past Tier 1, and the guarded stage then finds a
+// divergence witness or, at a three-step budget, exhausts its budget
+// without a certificate. Each conclusion matches core.Analyze's.
+func TestGuardedRacerBranchesSequential(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		set      *tgds.Set
+		steps    int
+		want     core.Conclusion
+		decided  string
+		detailed string
+	}{
+		{"example-5.6", mustSet(t, `
+			S(X,Y) -> T(X).
+			R(X,Y), T(Y) -> P(X,Y).
+			P(X,Y) -> P(Y,Z).
+		`), testDecideSteps, core.Diverges, "guarded", "guarded: diverging witness database"},
+		{"guard-chain-pump", mustSet(t, `
+			G(X,Y), S(X) -> G(Y,Z).
+			G(X,Y) -> S(Y).
+		`), 3, core.Unknown, "", "guarded: budget exhausted without certificate"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Guarded: guarded.DecideOptions{MaxSteps: tc.steps, Workers: 1}, ProbeSteps: 1, Workers: 1}
+			res, err := Analyze(context.Background(), tc.set, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := core.Analyze(tc.set, core.Options{GuardedOptions: guarded.DecideOptions{MaxSteps: tc.steps, Workers: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Conclusion != tc.want || rep.Conclusion != tc.want || res.DecidedBy != tc.decided {
+				t.Fatalf("portfolio %v by %q, core.Analyze %v; want %v by %q", res.Conclusion, res.DecidedBy, rep.Conclusion, tc.want, tc.decided)
+			}
+			last := res.Stages[len(res.Stages)-1]
+			if last.Stage != "guarded" || !strings.HasPrefix(last.Detail, tc.detailed) {
+				t.Errorf("last stage = %+v, want guarded %q…", last, tc.detailed)
+			}
+		})
 	}
 }

@@ -71,7 +71,8 @@ type DecideResponse struct {
 	DecidedBy string   `json:"decided-by,omitempty"`
 	Reasons   []string `json:"reasons,omitempty"`
 	Stages    []Stage  `json:"stages,omitempty"`
-	// CacheHit is true when the portfolio replayed a whole cached run.
+	// CacheHit is true when the analysis (flat or portfolio) replayed a
+	// whole cached run.
 	CacheHit bool `json:"cache-hit"`
 	// Shared is true when this request joined another in-flight identical
 	// request instead of running its own analysis (singleflight).
@@ -122,12 +123,14 @@ type RequestStats struct {
 // FlightStats tallies the singleflight table's work: Started counts
 // underlying analyses actually run, Deduped counts requests served by
 // joining one, Shed counts 429s from the admission gate, Cancelled counts
-// flights stopped by disconnect, timeout or shutdown.
+// flights stopped by disconnect, timeout or shutdown, Panics counts
+// flights whose analysis panicked and was answered with a 500.
 type FlightStats struct {
 	Started   int64 `json:"started"`
 	Deduped   int64 `json:"deduped"`
 	Shed      int64 `json:"shed"`
 	Cancelled int64 `json:"cancelled"`
+	Panics    int64 `json:"panics"`
 }
 
 // SnapshotStats reports the background snapshotter's work.
@@ -233,8 +236,9 @@ func existsSalt(strategy chase.SearchStrategy, maxStates, maxAtoms int) uint64 {
 // decideResponseOf renders a flat analysis report.
 func decideResponseOf(rep *core.Report) DecideResponse {
 	return DecideResponse{
-		Verdict: rep.Conclusion.String(),
-		Reasons: append([]string(nil), rep.Reasons...),
+		Verdict:  rep.Conclusion.String(),
+		Reasons:  append([]string(nil), rep.Reasons...),
+		CacheHit: rep.CacheHit,
 	}
 }
 

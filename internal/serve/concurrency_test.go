@@ -9,18 +9,24 @@ package serve
 //     sheds NEW work with 429 instead of queuing
 //   - cancellation: when every client of a flight disconnects, the
 //     underlying analysis stops promptly
+//   - containment: a panicking analysis fails its own flight with a 500
+//     and the daemon keeps serving
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"airct/internal/logic"
 	"airct/internal/workload"
 )
 
@@ -275,5 +281,48 @@ func TestServerCloseCancelsFlights(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("client still waiting 5s after Close; shutdown did not cancel the flight")
+	}
+}
+
+// TestFlightPanicIsContained injects a panicking flight function: the
+// leader recovers it into a 500, counts it in /v1/stats, logs both key
+// fingerprints, and releases its admission slot — with a one-slot pool,
+// the next request would be shed with 429 if the slot leaked.
+func TestFlightPanicIsContained(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		logged []string
+	)
+	ts := newTestServer(t, Config{MaxInflight: 1, Logf: func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	key := flightKey{set: logic.FingerprintString("panicking set"), inst: logic.FingerprintString("panicking instance"), salt: 1}
+	val, _, err := ts.srv.doFlight(context.Background(), key, 0, func(context.Context) (any, error) {
+		panic("injected analysis fault")
+	})
+	if val != nil || !errors.Is(err, errPanicked) {
+		t.Fatalf("panicking flight = (%v, %v), want errPanicked", val, err)
+	}
+	rec := httptest.NewRecorder()
+	if _, ok := ts.srv.finish(rec, httptest.NewRequest(http.MethodPost, "/v1/decide", nil), val, err); ok || rec.Code != http.StatusInternalServerError {
+		t.Errorf("panicking flight answered %d (ok=%v), want 500", rec.Code, ok)
+	}
+
+	var dec DecideResponse
+	postJSON(t, ts.url("/v1/decide"), DecideRequest{Program: "r: P(X) -> Q(X)."}, http.StatusOK, &dec)
+	if dec.Verdict != "terminates" {
+		t.Errorf("verdict after a contained panic = %q", dec.Verdict)
+	}
+	var st StatsResponse
+	getJSON(t, ts.url("/v1/stats"), http.StatusOK, &st)
+	if st.Flights.Panics != 1 || st.Flights.Started != 2 {
+		t.Errorf("flights = %+v, want panics=1 started=2", st.Flights)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logged) != 1 || !strings.Contains(logged[0], key.set.String()) || !strings.Contains(logged[0], key.inst.String()) {
+		t.Errorf("panic log = %q, want one line naming both fingerprints", logged)
 	}
 }

@@ -18,6 +18,8 @@
 //     cache, loaded from a snapshot at startup and snapshotted back on a
 //     background cadence and at graceful shutdown (Snapshotter), so the
 //     141×/388× warm wins measured per-process become the steady state.
+//     A repeated decide — flat or portfolio — replays the whole analysis
+//     from the cache's stage ledger.
 //   - Singleflight dedup (singleflight.go). Identical concurrent requests
 //     — equal TGD-set fingerprint, instance fingerprint, question and
 //     budgets — share one underlying analysis; a thundering herd runs one
@@ -26,7 +28,9 @@
 //     every slot is busy a new leader is shed with 429 immediately instead
 //     of queuing unboundedly. Per-request deadlines map onto
 //     context.WithTimeout over the engine's existing context plumbing, and
-//     a flight whose every client disconnected is cancelled promptly.
+//     a flight whose every client disconnected is cancelled promptly. A
+//     panicking analysis fails its own flight with a 500 and is counted in
+//     /v1/stats; the daemon keeps serving.
 //
 // Verdicts served over HTTP are pinned bit-identical to in-process
 // analysis by the e2e conformance suite (serve_test.go and the root
@@ -52,6 +56,9 @@ import (
 
 // errShed marks a request rejected by the admission gate.
 var errShed = errors.New("serve: admission pool full")
+
+// errPanicked marks a flight whose analysis panicked (runFlight).
+var errPanicked = errors.New("serve: analysis panicked")
 
 // Defaults mirror the termcheck CLI so a served verdict is comparable to a
 // CLI verdict out of the box.
@@ -103,6 +110,7 @@ type metrics struct {
 	flightsStarted   atomic.Int64
 	flightsDeduped   atomic.Int64
 	flightsCancelled atomic.Int64
+	flightsPanicked  atomic.Int64
 	requestsShed     atomic.Int64
 	probeRejects     atomic.Int64
 
@@ -275,6 +283,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		rep, err := core.AnalyzeContext(ctx, prog.TGDs, core.Options{
 			GuardedOptions: guarded.DecideOptions{MaxSteps: guardedBudget, Workers: workers, Cache: s.cache},
 			StickyOptions:  sticky.DecideOptions{MaxStates: stickyStates, Cache: s.cache},
+			Cache:          s.cache,
 		})
 		if err != nil {
 			return nil, err
@@ -379,6 +388,7 @@ func (s *Server) Stats() StatsResponse {
 			Deduped:   s.metrics.flightsDeduped.Load(),
 			Shed:      s.metrics.requestsShed.Load(),
 			Cancelled: s.metrics.flightsCancelled.Load(),
+			Panics:    s.metrics.flightsPanicked.Load(),
 		},
 		Cache:    s.cache.Stats(),
 		Activity: s.cache.ActivityTotals(),

@@ -417,6 +417,84 @@ func TestServeStats(t *testing.T) {
 	if st.UptimeMS < 0 {
 		t.Errorf("uptime = %d", st.UptimeMS)
 	}
+
+	// The flights object round-trips key for key: every FlightStats counter,
+	// panics included, is on the wire under its documented name.
+	var body map[string]json.RawMessage
+	getJSON(t, ts.url("/v1/stats"), http.StatusOK, &body)
+	var wire map[string]int64
+	if err := json.Unmarshal(body["flights"], &wire); err != nil {
+		t.Fatal(err)
+	}
+	var fs FlightStats
+	if err := json.Unmarshal(body["flights"], &fs); err != nil {
+		t.Fatal(err)
+	}
+	back, err := json.Marshal(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again map[string]int64
+	if err := json.Unmarshal(back, &again); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(again) != fmt.Sprint(wire) {
+		t.Errorf("flights round-trip drifted: %v vs %v", again, wire)
+	}
+	for _, k := range []string{"started", "deduped", "shed", "cancelled", "panics"} {
+		if _, ok := wire[k]; !ok {
+			t.Errorf("/v1/stats flights lacks %q: %v", k, wire)
+		}
+	}
+}
+
+// TestServeFlatDecideReplaysLedger pins the flat ledger over HTTP: the same
+// flat /v1/decide twice, then once more on a daemon restarted from a
+// Snapshotter save. All three carry the same verdict and reasons, the
+// repeats are whole-run replays, and the cache hit counter rises.
+func TestServeFlatDecideReplaysLedger(t *testing.T) {
+	src := corpusFiles(t)["ladder"]
+	req := DecideRequest{Program: src, GuardedBudget: confDecideSteps}
+	cache := chase.NewCache()
+	path := filepath.Join(t.TempDir(), "serve.cache")
+	snap := NewSnapshotter(cache, path, 0, t.Logf)
+	first := newTestServer(t, Config{Cache: cache, Snapshot: snap})
+
+	hits := func(ts *testServer) int64 {
+		var st StatsResponse
+		getJSON(t, ts.url("/v1/stats"), http.StatusOK, &st)
+		return st.Cache.Hits
+	}
+	var cold, warm, restarted DecideResponse
+	postJSON(t, first.url("/v1/decide"), req, http.StatusOK, &cold)
+	before := hits(first)
+	postJSON(t, first.url("/v1/decide"), req, http.StatusOK, &warm)
+	if hits(first) <= before {
+		t.Error("warm flat decide recorded no cache hit")
+	}
+	if err := snap.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second := newTestServer(t, Config{Cache: OpenCacheFile(path, t.Logf)})
+	before = hits(second)
+	postJSON(t, second.url("/v1/decide"), req, http.StatusOK, &restarted)
+	if hits(second) <= before {
+		t.Error("restarted flat decide recorded no cache hit")
+	}
+
+	if cold.CacheHit || !warm.CacheHit || !restarted.CacheHit {
+		t.Errorf("cache-hit = cold %v, warm %v, restarted %v; want false, true, true", cold.CacheHit, warm.CacheHit, restarted.CacheHit)
+	}
+	want := renderDecide(cold.Verdict, cold.Reasons)
+	if cold.Verdict != "diverges" || len(cold.Reasons) == 0 {
+		t.Fatalf("cold ladder decide = %s", want)
+	}
+	for regime, got := range map[string]DecideResponse{"warm": warm, "restarted": restarted} {
+		if r := renderDecide(got.Verdict, got.Reasons); r != want {
+			t.Errorf("%s flat decide drifted:\n  got  %s\n  want %s", regime, r, want)
+		}
+	}
 }
 
 // TestServeWarmIsSharedCache pins the tentpole's reason to exist: the SAME

@@ -20,9 +20,13 @@ package serve
 // portfolio.Analyze) then stops the underlying work promptly, and nothing
 // is stored in the cache for it. A finished flight is removed from the
 // table; later identical requests are served by the cache, not the table.
+// A leader whose work panics publishes the panic as an error (runFlight),
+// so the flight still completes and its admission slot is released.
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -96,7 +100,7 @@ func (s *Server) doFlight(ctx context.Context, key flightKey, timeout time.Durat
 
 	go func() {
 		defer func() { <-s.gate }()
-		val, err := fn(runCtx)
+		val, err := s.runFlight(runCtx, key, fn)
 		if runCtx.Err() != nil {
 			// The underlying work was stopped by cancellation (every
 			// interested client left, the flight timed out, or the server
@@ -111,6 +115,24 @@ func (s *Server) doFlight(ctx context.Context, key flightKey, timeout time.Durat
 		t.mu.Unlock()
 	}()
 	return s.waitFlight(ctx, f, false)
+}
+
+// runFlight runs a leader's work, recovering a panic into errPanicked so
+// one faulty analysis fails its own flight with a 500 instead of killing
+// the daemon and every other in-flight request. Only the leader
+// goroutine's own stack is covered: a panic on a goroutine the analysis
+// starts itself is not recoverable here.
+func (s *Server) runFlight(ctx context.Context, key flightKey, fn func(ctx context.Context) (any, error)) (val any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.metrics.flightsPanicked.Add(1)
+			if s.cfg.Logf != nil {
+				s.cfg.Logf("serve: analysis panicked (set %v, instance %v): %v\n%s", key.set, key.inst, p, debug.Stack())
+			}
+			val, err = nil, fmt.Errorf("%w: %v", errPanicked, p)
+		}
+	}()
+	return fn(ctx)
 }
 
 // waitFlight blocks until the flight publishes or the caller's own context
