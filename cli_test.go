@@ -756,3 +756,25 @@ func TestTermcheckCacheSaveEveryKillMidRun(t *testing.T) {
 		t.Error("snapshot after kill -9 restored no entries")
 	}
 }
+
+// TestTermcheckdEarlySIGTERM signals the daemon the moment its listening
+// banner appears — the earliest a supervisor can know its address. The
+// signal handler is registered before the listener opens, so the daemon
+// still shuts down gracefully: exit 0 and a final cache snapshot on disk.
+func TestTermcheckdEarlySIGTERM(t *testing.T) {
+	// The unguarded window was a few microseconds wide; ten starts hit it
+	// reliably when the handler is registered late.
+	for i := 0; i < 10; i++ {
+		snap := filepath.Join(t.TempDir(), "early.cache")
+		cmd, _ := startTermcheckd(t, "-cache-file", snap, "-cache-save-every", "0")
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("termcheckd exit after an early SIGTERM: %v", err)
+		}
+		if _, err := os.Stat(snap); err != nil {
+			t.Fatalf("no cache snapshot after an early SIGTERM: %v", err)
+		}
+	}
+}

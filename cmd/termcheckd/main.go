@@ -58,6 +58,13 @@ func run(addr, cacheFile string, saveEvery time.Duration, maxInflight int, reque
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "termcheckd: "+format+"\n", args...)
 	}
+	// Register the shutdown signals first: a signal that arrives while the
+	// cache loads or the listener opens waits in sigc for the graceful
+	// shutdown below instead of killing the process before its banner.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	cache := serve.OpenCacheFile(cacheFile, logf)
 	var snap *serve.Snapshotter
 	if cacheFile != "" {
@@ -85,9 +92,6 @@ func run(addr, cacheFile string, saveEvery time.Duration, maxInflight int, reque
 	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 
 	code := 0
 	select {

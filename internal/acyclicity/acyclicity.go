@@ -6,10 +6,16 @@
 // decision procedures of Sections 5 and 6 are measured against: each is
 // sound (acceptance implies termination) but incomplete (rejection proves
 // nothing).
+//
+// WA and JA are graph checks over positions and existential variables. MFA
+// chases: it runs the interned engine's semi-oblivious variant on the
+// critical instance (chase.MFA), keeps each null's ancestry as a bitset of
+// the TGDs that created it and its ancestors, and polls its context like
+// every engine run, so a cancelled check returns the context's error.
 package acyclicity
 
 import (
-	"fmt"
+	"context"
 
 	"airct/internal/chase"
 	"airct/internal/critical"
@@ -222,107 +228,37 @@ type MFAResult struct {
 	// Acyclic is true when the semi-oblivious chase of the critical
 	// instance saturated without creating a cyclic null.
 	Acyclic bool
-	// CyclicNull holds the offending null when Acyclic is false and the
-	// check found an ancestry cycle (same TGD and existential variable
-	// nested inside itself).
-	CyclicNull logic.Term
-	// Steps is the number of chase steps performed.
+	// Steps is the number of chase steps performed: on an acyclic set, the
+	// number of frontier classes of the skolem fixpoint.
 	Steps int
 }
 
-// CheckMFA runs the MFA-style test: chase the critical instance D* with the
-// semi-oblivious chase, tracking null ancestry; if a null created by
-// (σ, z) has an ancestor null created by the same (σ, z), the set is
-// reported cyclic. If the chase saturates first, the set is MFA and every
-// chase variant terminates on every database. maxSteps bounds the search
-// (0: 100_000); hitting the bound reports Acyclic = false with no witness.
+// CheckMFA is CheckMFAContext under context.Background().
 func CheckMFA(set *tgds.Set, maxSteps int) MFAResult {
+	res, _ := CheckMFAContext(context.Background(), set, maxSteps)
+	return res
+}
+
+// CheckMFAContext runs the MFA-style test: chase the critical instance D*
+// with the semi-oblivious chase, tracking null ancestry; if a null created
+// by σ has an ancestor null created by σ, the set is reported cyclic. If
+// the chase saturates first, the set is MFA and every chase variant
+// terminates on every database. Origin granularity is the creating TGD:
+// the textbook MFA condition keys on (σ, z), and collapsing the existential
+// variables of one TGD only makes the cycle test fire earlier, which keeps
+// acceptance sound (an accepted set still saturated cycle-free).
+//
+// The chase is the interned engine's semi-oblivious variant (chase.MFA),
+// with ancestry kept as a per-null bitset of origins. maxSteps bounds the
+// search (0: 100_000); hitting the bound reports Acyclic = false. The run
+// polls ctx and a cancelled run returns ctx's error, never a verdict.
+func CheckMFAContext(ctx context.Context, set *tgds.Set, maxSteps int) (MFAResult, error) {
 	if maxSteps <= 0 {
 		maxSteps = 100_000
 	}
-	db := critical.Instance(set)
-	inst := db.Instance()
-	nulls := chase.NewNullFactory(chase.StructuralNaming)
-	// origin[n] = "tgdIndex|var" creating n; parents[n] = nulls in the
-	// frontier image of the creating trigger.
-	origin := make(map[logic.Term]string)
-	parents := make(map[logic.Term][]logic.Term)
-	appliedFrontier := make(map[string]struct{})
-	steps := 0
-	for {
-		if steps >= maxSteps {
-			return MFAResult{Acyclic: false, Steps: steps}
-		}
-		progressed := false
-		for _, tr := range chase.AllTriggers(set, inst) {
-			fk := tr.FrontierKey()
-			if _, done := appliedFrontier[fk]; done {
-				continue
-			}
-			appliedFrontier[fk] = struct{}{}
-			result := chase.Result(tr, nulls)
-			frontierNulls := frontierNullsOf(tr)
-			for _, atom := range result {
-				for _, term := range atom.Args {
-					if !term.IsNull() {
-						continue
-					}
-					if _, known := origin[term]; known {
-						continue
-					}
-					// Origin granularity is the creating TGD. The textbook
-					// MFA condition keys on (σ, z); collapsing the
-					// existential variables of one TGD only makes the
-					// cycle test fire earlier, which keeps acceptance
-					// sound (an accepted set still saturated cycle-free).
-					origin[term] = fmt.Sprintf("%d", tr.TGDIndex)
-					parents[term] = frontierNulls
-					if hasCyclicAncestry(term, origin, parents) {
-						return MFAResult{Acyclic: false, CyclicNull: term, Steps: steps}
-					}
-				}
-				inst.Add(atom)
-			}
-			steps++
-			progressed = true
-			if steps >= maxSteps {
-				return MFAResult{Acyclic: false, Steps: steps}
-			}
-		}
-		if !progressed {
-			return MFAResult{Acyclic: true, Steps: steps}
-		}
+	acyclic, steps, err := chase.MFA(ctx, critical.Instance(set), set, maxSteps)
+	if err != nil {
+		return MFAResult{}, err
 	}
-}
-
-func frontierNullsOf(tr chase.Trigger) []logic.Term {
-	var out []logic.Term
-	seen := map[logic.Term]bool{}
-	for x := range tr.TGD.Frontier() {
-		t := tr.H.ApplyTerm(x)
-		if t.IsNull() && !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-func hasCyclicAncestry(n logic.Term, origin map[logic.Term]string, parents map[logic.Term][]logic.Term) bool {
-	want := origin[n]
-	seen := map[logic.Term]bool{n: true}
-	stack := append([]logic.Term{}, parents[n]...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		if origin[v] == want {
-			return true
-		}
-		stack = append(stack, parents[v]...)
-	}
-	return false
+	return MFAResult{Acyclic: acyclic, Steps: steps}, nil
 }

@@ -86,13 +86,21 @@ func compileTGD(t tgds.TGD, in *logic.Interner) compiledTGD {
 	total := ct.nBody + len(ct.existVars)
 	ct.body = logic.CompilePattern(t.Body, total, slotOf, in)
 	ct.head = logic.CompilePattern(t.Head, total, slotOf, in)
+	ct.frontierSlots = frontierSlots(t, ct.bodyVars)
+	return ct
+}
+
+// frontierSlots returns the body slots of the TGD's frontier variables,
+// ascending, given its sorted body variables.
+func frontierSlots(t tgds.TGD, bodyVars []logic.Term) []int32 {
+	var out []int32
 	frontier := t.Frontier()
-	for i, v := range ct.bodyVars {
+	for i, v := range bodyVars {
 		if frontier.Has(v) {
-			ct.frontierSlots = append(ct.frontierSlots, int32(i))
+			out = append(out, int32(i))
 		}
 	}
-	return ct
+	return out
 }
 
 // discSorter sorts a flat buffer of discovered trigger tuples (offsets in

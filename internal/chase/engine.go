@@ -140,6 +140,13 @@ type Options struct {
 	// the differential tests' hook for pinning the delta path against the
 	// full check at every pop. Unexported; test-only.
 	onActivity func(tgd int, bt []uint32, delta, full bool)
+
+	// onApply, when set, observes every TGD application once its nulls are
+	// chosen and before its head atoms are added: the TGD, the body tuple
+	// and the null IDs the application creates. Returning false halts the
+	// run before the application, with Reason = Cancelled (the observer's
+	// owner discards the run). Unexported; MFA's ancestry tracking.
+	onApply func(tgd int, bt []uint32, nulls []logic.TermID) bool
 }
 
 // Step records one trigger application I⟨σ,h⟩J.
@@ -779,7 +786,10 @@ func (e *engine) loop() {
 			e.run.Stats.TriggersSkipped++
 			continue
 		}
-		e.apply(id, rule, bt)
+		if !e.apply(id, rule, bt) {
+			e.run.Reason = Cancelled
+			return
+		}
 	}
 	e.run.Reason = Fixpoint
 }
@@ -905,11 +915,16 @@ func (e *engine) nullFor(id int32, k int) logic.TermID {
 	return nid
 }
 
-func (e *engine) apply(id int32, tgd int, bt []uint32) {
+// apply fires the trigger; it returns false, before adding any atom, when
+// the onApply observer halts the run.
+func (e *engine) apply(id int32, tgd int, bt []uint32) bool {
 	ct := &e.ct[tgd]
 	e.nullIDs = e.nullIDs[:0]
 	for k := range ct.existVars {
 		e.nullIDs = append(e.nullIDs, e.nullFor(id, k))
+	}
+	if e.opts.onApply != nil && !e.opts.onApply(tgd, bt, e.nullIDs) {
+		return false
 	}
 	record := !e.opts.DropSteps
 	var result, added []logic.Atom
@@ -953,6 +968,7 @@ func (e *engine) apply(id int32, tgd int, bt []uint32) {
 	for _, ai := range e.addedIx {
 		e.discover(ai)
 	}
+	return true
 }
 
 // discover finds every trigger whose body uses the atom at insertion index

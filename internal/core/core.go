@@ -174,11 +174,11 @@ func Analyze(set *tgds.Set, opts Options) (*Report, error) {
 }
 
 // AnalyzeContext is Analyze with cancellation: the context is threaded into
-// the sticky Büchi exploration and the guarded seed search (the two
-// procedures that can run long), which observe it inside their inner loops
-// and return its error promptly. The report is bit-identical to Analyze's
-// on an uncancelled context — the baselines and the procedure order are
-// unchanged. With Options.Cache set, a finished analysis is stored as a
+// the MFA baseline's chase, the sticky Büchi exploration and the guarded
+// seed search (the procedures that can run long), which observe it inside
+// their inner loops and return its error promptly. The report is
+// bit-identical to Analyze's on an uncancelled context — the baselines and
+// the procedure order are unchanged. With Options.Cache set, a finished analysis is stored as a
 // stage ledger and a later call with the same set and budgets replays it;
 // a cancelled or failed analysis stores nothing.
 func AnalyzeContext(ctx context.Context, set *tgds.Set, opts Options) (*Report, error) {
@@ -268,7 +268,11 @@ func analyze(ctx context.Context, set *tgds.Set, opts Options) (*Report, error) 
 				}
 				r.evidence(strings.Join(r.NeverFiring, "\n"))
 			}
-			if mfa := acyclicity.CheckMFA(set, opts.mfaSteps()); mfa.Acyclic {
+			mfa, err := acyclicity.CheckMFAContext(ctx, set, opts.mfaSteps())
+			if err != nil {
+				return nil, err
+			}
+			if mfa.Acyclic {
 				r.MFA = true
 				r.conclude(stageMFA, Terminates, fmt.Sprintf("MFA: semi-oblivious critical-instance chase saturated in %d steps (sufficient condition)", mfa.Steps))
 			}

@@ -14,6 +14,7 @@ import (
 	"airct/internal/instance"
 	"airct/internal/logic"
 	"airct/internal/ochase"
+	"airct/internal/panics"
 	"airct/internal/tgds"
 )
 
@@ -261,7 +262,6 @@ func chaseSeedBattery(ctx context.Context, set *tgds.Set, seed *instance.Databas
 // outcome (the engine's trigger order is canonical in term content), so
 // Decide's first-non-nil scan never reaches the duplicate.
 func chaseSeedsContext(ctx context.Context, set *tgds.Set, seeds []*instance.Database, budget, workers int, cache *chase.Cache) ([]*Verdict, error) {
-	out := make([]*Verdict, len(seeds))
 	fps := make([]logic.Fingerprint, len(seeds))
 	first := make(map[logic.Fingerprint]struct{}, len(seeds))
 	uniq := make([]int, 0, len(seeds))
@@ -280,6 +280,21 @@ func chaseSeedsContext(ctx context.Context, set *tgds.Set, seeds []*instance.Dat
 		v, _ := chaseSeed(ctx, set, seeds[i], budget, cache, setFP, fps[i])
 		return v
 	}
+	return sweepSeeds(ctx, len(seeds), uniq, workers, chaseOne)
+}
+
+// sweepSeeds runs chaseOne over the seed indexes uniq (ascending) and
+// returns the outcomes indexed by seed, n slots in all: sequentially with
+// early exit at the first non-nil outcome when workers ≤ 1, else on the
+// bounded pool chaseSeedsContext describes. A panic in chaseOne is
+// recovered into a *panics.Error naming the seed, on either path, and
+// returned instead of killing the process from a worker goroutine.
+func sweepSeeds(ctx context.Context, n int, uniq []int, workers int, chaseOne func(i int) *Verdict) ([]*Verdict, error) {
+	out := make([]*Verdict, n)
+	try := func(i int) (v *Verdict, err error) {
+		defer panics.Recover(&err, "guarded seed %d", i)
+		return chaseOne(i), nil
+	}
 	if workers > len(uniq) {
 		workers = len(uniq)
 	}
@@ -288,54 +303,66 @@ func chaseSeedsContext(ctx context.Context, set *tgds.Set, seeds []*instance.Dat
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			out[i] = chaseOne(i)
-			if out[i] == cancelledVerdict {
+			v, err := try(i)
+			if err != nil {
+				return nil, err
+			}
+			if v == cancelledVerdict {
 				return nil, ctx.Err()
 			}
-			if out[i] != nil {
+			if out[i] = v; v != nil {
 				break
 			}
 		}
-	} else {
-		var next atomic.Int64
-		var best atomic.Int64 // lowest diverging seed index found so far
-		best.Store(int64(len(seeds)))
-		var cancelled atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if ctx.Err() != nil {
+		return out, nil
+	}
+	var next atomic.Int64
+	var best atomic.Int64 // lowest diverging seed index found so far
+	best.Store(int64(n))
+	var cancelled atomic.Bool
+	var failed atomic.Pointer[error] // first recovered panic
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if ctx.Err() != nil {
+					cancelled.Store(true)
+					return
+				}
+				u := int(next.Add(1) - 1)
+				if u >= len(uniq) || int64(uniq[u]) > best.Load() || failed.Load() != nil {
+					return
+				}
+				i := uniq[u]
+				v, err := try(i)
+				if err != nil {
+					failed.CompareAndSwap(nil, &err)
+					return
+				}
+				if v != nil {
+					if v == cancelledVerdict {
 						cancelled.Store(true)
 						return
 					}
-					u := int(next.Add(1) - 1)
-					if u >= len(uniq) || int64(uniq[u]) > best.Load() {
-						return
-					}
-					i := uniq[u]
-					if v := chaseOne(i); v != nil {
-						if v == cancelledVerdict {
-							cancelled.Store(true)
-							return
-						}
-						out[i] = v
-						for {
-							b := best.Load()
-							if int64(i) >= b || best.CompareAndSwap(b, int64(i)) {
-								break
-							}
+					out[i] = v
+					for {
+						b := best.Load()
+						if int64(i) >= b || best.CompareAndSwap(b, int64(i)) {
+							break
 						}
 					}
 				}
-			}()
-		}
-		wg.Wait()
-		if cancelled.Load() {
-			return nil, ctx.Err()
-		}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := failed.Load(); err != nil {
+		return nil, *err
+	}
+	if cancelled.Load() {
+		return nil, ctx.Err()
 	}
 	return out, nil
 }

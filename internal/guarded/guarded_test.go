@@ -1,12 +1,15 @@
 package guarded
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"airct/internal/chase"
 	"airct/internal/logic"
 	"airct/internal/ochase"
+	"airct/internal/panics"
 	"airct/internal/parser"
 )
 
@@ -452,5 +455,25 @@ func TestDecideDeterministicAcrossWorkerCounts(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSeedPoolPanicIsContained: a seed chase that panics — on the pool's
+// worker goroutines or on the sequential path — comes back as a
+// *panics.Error naming the seed instead of killing the process.
+func TestSeedPoolPanicIsContained(t *testing.T) {
+	uniq := []int{0, 1, 2, 3, 4, 5}
+	chaseOne := func(i int) *Verdict {
+		if i == 2 {
+			panic("injected seed fault")
+		}
+		return nil
+	}
+	for _, workers := range []int{1, 3} {
+		out, err := sweepSeeds(context.Background(), len(uniq), uniq, workers, chaseOne)
+		var pe *panics.Error
+		if !errors.As(err, &pe) || pe.Where != "guarded seed 2" || pe.Value != "injected seed fault" {
+			t.Errorf("workers=%d: sweepSeeds = (%v, %v), want a panic error naming seed 2", workers, out, err)
+		}
 	}
 }

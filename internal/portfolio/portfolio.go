@@ -52,6 +52,7 @@ package portfolio
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync/atomic"
@@ -63,6 +64,7 @@ import (
 	"airct/internal/guarded"
 	"airct/internal/instance"
 	"airct/internal/logic"
+	"airct/internal/panics"
 	"airct/internal/sticky"
 	"airct/internal/tgds"
 )
@@ -104,6 +106,11 @@ type Options struct {
 	Database *instance.Database
 	// Exists tunes the non-authoritative ∀∃ racer.
 	Exists chase.SearchOptions
+
+	// racers, when set, rewrites the Tier 2 field buildRacers assembled.
+	// Unexported; test-only (the panic-containment tests inject a faulty
+	// racer through it).
+	racers func([]racer) []racer
 }
 
 func resolved(v, def int) int {
@@ -246,7 +253,9 @@ func (r *runner) run(ctx context.Context) error {
 			}
 			continue
 		}
-		r.tier0Stage(name)
+		if err := r.tier0Stage(ctx, name); err != nil {
+			return err
+		}
 	}
 	if r.decided() {
 		return nil
@@ -274,19 +283,23 @@ func (r *runner) conclude(s StageOutcome) {
 // tier0Stage runs one cheap syntactic or sufficient-condition check. Every
 // Tier 0 check is sound for acceptance only, so a decisive stage always
 // concludes Terminates — which is why the cost model may run them in any
-// order without touching the conclusion.
-func (r *runner) tier0Stage(name string) {
+// order without touching the conclusion. A stage stopped by ctx (only MFA
+// polls it) returns ctx's error and records nothing.
+func (r *runner) tier0Stage(ctx context.Context, name string) error {
 	if r.decided() {
-		return
+		return nil
 	}
 	s := StageOutcome{Stage: name, Tier: 0}
 	start := time.Now()
-	r.tier0Check(name, &s)
+	if err := r.tier0Check(ctx, name, &s); err != nil {
+		return err
+	}
 	s.Duration = time.Since(start)
 	r.conclude(s)
+	return nil
 }
 
-func (r *runner) tier0Check(name string, s *StageOutcome) {
+func (r *runner) tier0Check(ctx context.Context, name string, s *StageOutcome) error {
 	set := r.set
 	switch name {
 	case "full":
@@ -316,7 +329,7 @@ func (r *runner) tier0Check(name string, s *StageOutcome) {
 	case "joint-acyclicity":
 		if set.HasEGDs() {
 			s.Detail = "skipped: joint acyclicity is a TGD-only baseline (set has EGDs)"
-			return
+			return nil
 		}
 		if acyclicity.IsJointlyAcyclic(set) {
 			s.Decided = true
@@ -328,12 +341,12 @@ func (r *runner) tier0Check(name string, s *StageOutcome) {
 	case "jointree-prune":
 		if set.HasEGDs() {
 			s.Detail = "skipped: the never-firing prune is a TGD-only baseline (set has EGDs)"
-			return
+			return nil
 		}
 		pruned, removed := acyclicity.PruneNeverFiring(set)
 		if len(removed) == 0 {
 			s.Detail = "no never-firing TGDs"
-			return
+			return nil
 		}
 		s.Steps = len(removed)
 		switch {
@@ -358,9 +371,12 @@ func (r *runner) tier0Check(name string, s *StageOutcome) {
 	case "mfa":
 		if set.HasEGDs() {
 			s.Detail = "skipped: MFA is a TGD-only baseline (set has EGDs)"
-			return
+			return nil
 		}
-		mfa := acyclicity.CheckMFA(set, resolved(r.opts.MFASteps, core.DefaultMFASteps))
+		mfa, err := acyclicity.CheckMFAContext(ctx, set, resolved(r.opts.MFASteps, core.DefaultMFASteps))
+		if err != nil {
+			return err
+		}
 		s.Steps = mfa.Steps
 		if mfa.Acyclic {
 			s.Decided = true
@@ -370,6 +386,7 @@ func (r *runner) tier0Check(name string, s *StageOutcome) {
 			s.Detail = "critical-instance chase found a cyclic null or exhausted its budget"
 		}
 	}
+	return nil
 }
 
 // tier1 runs the k-round probe for guarded, non-sticky sets. An accepting
@@ -428,6 +445,14 @@ type racer struct {
 	run           func(ctx context.Context) (StageOutcome, error)
 }
 
+// runSafe runs the racer, recovering a panic into a *panics.Error naming
+// the stage: racers run on the pool's own goroutines, where an unrecovered
+// panic would kill the process.
+func (rc racer) runSafe(ctx context.Context) (out StageOutcome, err error) {
+	defer panics.Recover(&err, "portfolio stage %s", rc.name)
+	return rc.run(ctx)
+}
+
 // tier2 races the semantic deciders on a bounded worker pool. Workers claim
 // racers in canonical order off an atomic counter; the combiner then walks
 // the same order, so racer i's verdict counts only after racers j < i all
@@ -437,6 +462,9 @@ type racer struct {
 // promptly; unclaimed racers are skipped outright.
 func (r *runner) tier2(ctx context.Context) error {
 	racers := r.buildRacers()
+	if r.opts.racers != nil {
+		racers = r.opts.racers(racers)
+	}
 	if len(racers) == 0 {
 		return nil
 	}
@@ -463,7 +491,7 @@ func (r *runner) tier2(ctx context.Context) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			out, err := rc.run(rctx)
+			out, err := rc.runSafe(rctx)
 			if err != nil {
 				return err
 			}
@@ -495,7 +523,7 @@ func (r *runner) tier2(ctx context.Context) error {
 					close(sl.done)
 					continue
 				}
-				sl.out, sl.err = racers[i].run(rctx)
+				sl.out, sl.err = racers[i].runSafe(rctx)
 				close(sl.done)
 			}
 		}()
@@ -513,6 +541,10 @@ func (r *runner) tier2(ctx context.Context) error {
 				Tier:   2,
 				Detail: "skipped: an earlier stage decided",
 			})
+		case errors.As(sl.err, new(*panics.Error)):
+			// A panicking racer fails the run even after a decision: the
+			// fault is a bug, not this race's own cancellation.
+			return sl.err
 		case sl.err != nil && rctx.Err() != nil:
 			// Cancelled loser: its error is our own cancellation.
 			r.res.Stages = append(r.res.Stages, StageOutcome{

@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"airct/internal/chase"
 	"airct/internal/core"
 	"airct/internal/guarded"
+	"airct/internal/panics"
 	"airct/internal/parser"
 	"airct/internal/tgds"
 	"airct/internal/workload"
@@ -348,5 +350,82 @@ func TestGuardedRacerBranchesSequential(t *testing.T) {
 				t.Errorf("last stage = %+v, want guarded %q…", last, tc.detailed)
 			}
 		})
+	}
+}
+
+// TestCancelledMFAStoresNothing pins MFA's cancellation through both
+// analyzers: under an already-cancelled context and a large MFA budget,
+// each returns the context's error promptly and stores no ledger, so the
+// next uncancelled call misses the cache. The second set is neither guarded
+// nor sticky and not decided before MFA, so MFA's own chase (≈100 steps to
+// its cyclic null, past the engine's poll interval) is the only stage that
+// observes the context.
+func TestCancelledMFAStoresNothing(t *testing.T) {
+	long := mustSet(t, workload.LinearCycle(100).Source+"E(X,Y), E(Y,Z) -> E(X,Z).\n")
+	if long.IsGuarded() || long.IsSticky() {
+		t.Fatal("corpus error: the long-MFA set must be neither guarded nor sticky")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, set := range []*tgds.Set{workload.GuardedLadder(10).Set, long} {
+		cache := chase.NewCache()
+		copts := coreOpts()
+		copts.MFASteps = 10_000_000
+		copts.Cache = cache
+		popts := portOpts()
+		popts.MFASteps = 10_000_000
+		popts.Cache = cache
+
+		start := time.Now()
+		if rep, err := core.AnalyzeContext(ctx, set, copts); err != context.Canceled {
+			t.Errorf("core.AnalyzeContext = (%v, %v), want context.Canceled", rep, err)
+		}
+		if res, err := Analyze(ctx, set, popts); err != context.Canceled {
+			t.Errorf("portfolio.Analyze = (%+v, %v), want context.Canceled", res, err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Errorf("cancelled analyses took %v", elapsed)
+		}
+		if n := cache.Stats().Entries; n != 0 {
+			t.Errorf("cancelled analyses stored %d cache entries", n)
+		}
+		rep, err := core.AnalyzeContext(context.Background(), set, copts)
+		if err != nil || rep.CacheHit {
+			t.Errorf("flat analysis after a cancelled one: cache hit %v, err %v", rep != nil && rep.CacheHit, err)
+		}
+		res, err := Analyze(context.Background(), set, popts)
+		if err != nil || res.CacheHit {
+			t.Errorf("portfolio after a cancelled one: cache hit %v, err %v", res != nil && res.CacheHit, err)
+		}
+	}
+}
+
+// TestRacerPanicIsContained injects a panicking Tier 2 racer ahead of the
+// real ones: on the sequential cascade and on the worker pool alike,
+// Analyze returns a *panics.Error naming the stage, stores no ledger (the
+// next call on the same cache misses it), and that next call runs normally.
+func TestRacerPanicIsContained(t *testing.T) {
+	set := workload.LinearCycle(3).Set
+	for _, workers := range []int{1, 0} {
+		cache := chase.NewCache()
+		opts := portOpts()
+		opts.Workers = workers
+		opts.Cache = cache
+		opts.racers = func(rs []racer) []racer {
+			faulty := racer{name: "faulty", authoritative: true, run: func(context.Context) (StageOutcome, error) {
+				panic("injected racer fault")
+			}}
+			return append([]racer{faulty}, rs...)
+		}
+		res, err := Analyze(context.Background(), set, opts)
+		var pe *panics.Error
+		if !errors.As(err, &pe) || pe.Where != "portfolio stage faulty" || pe.Value != "injected racer fault" {
+			t.Fatalf("workers=%d: Analyze = (%+v, %v), want a panic error naming the stage", workers, res, err)
+		}
+		opts.racers = nil
+		res, err = Analyze(context.Background(), set, opts)
+		if err != nil || res.Conclusion != core.Diverges || res.CacheHit {
+			t.Errorf("workers=%d: run after the panic = (%+v, %v)", workers, res, err)
+		}
 	}
 }

@@ -23,10 +23,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"airct/internal/logic"
+	"airct/internal/panics"
 	"airct/internal/workload"
 )
 
@@ -324,5 +326,43 @@ func TestFlightPanicIsContained(t *testing.T) {
 	defer mu.Unlock()
 	if len(logged) != 1 || !strings.Contains(logged[0], key.set.String()) || !strings.Contains(logged[0], key.inst.String()) {
 		t.Errorf("panic log = %q, want one line naming both fingerprints", logged)
+	}
+}
+
+// TestWorkerPanicIsContained: an analysis whose own worker goroutine
+// panicked returns the recovered *panics.Error (as portfolio.Analyze does
+// for a Tier 2 racer and guarded.Decide for a seed worker). The leader
+// answers it like a panic on its own stack — a 500, counted in /v1/stats
+// flights.panics, logged once — and the daemon keeps serving.
+func TestWorkerPanicIsContained(t *testing.T) {
+	var logged atomic.Int64
+	ts := newTestServer(t, Config{MaxInflight: 1, Logf: func(string, ...any) { logged.Add(1) }})
+	key := flightKey{set: logic.FingerprintString("worker-panic set"), salt: 2}
+	val, _, err := ts.srv.doFlight(context.Background(), key, 0, func(context.Context) (any, error) {
+		errc := make(chan error)
+		go func() {
+			var err error
+			defer func() { errc <- err }()
+			defer panics.Recover(&err, "portfolio stage %s", "faulty")
+			panic("injected racer fault")
+		}()
+		return nil, <-errc
+	})
+	if val != nil || !errors.Is(err, errPanicked) || !strings.Contains(err.Error(), "portfolio stage faulty") {
+		t.Fatalf("worker-panicked flight = (%v, %v), want errPanicked naming the stage", val, err)
+	}
+	rec := httptest.NewRecorder()
+	if _, ok := ts.srv.finish(rec, httptest.NewRequest(http.MethodPost, "/v1/decide", nil), val, err); ok || rec.Code != http.StatusInternalServerError {
+		t.Errorf("worker-panicked flight answered %d (ok=%v), want 500", rec.Code, ok)
+	}
+	var dec DecideResponse
+	postJSON(t, ts.url("/v1/decide"), DecideRequest{Program: "r: P(X) -> Q(X).", Portfolio: true}, http.StatusOK, &dec)
+	if dec.Verdict != "terminates" {
+		t.Errorf("verdict after a contained worker panic = %q", dec.Verdict)
+	}
+	var st StatsResponse
+	getJSON(t, ts.url("/v1/stats"), http.StatusOK, &st)
+	if st.Flights.Panics != 1 || logged.Load() != 1 {
+		t.Errorf("flights = %+v, %d log lines; want panics=1 and one log line", st.Flights, logged.Load())
 	}
 }

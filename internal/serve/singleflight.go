@@ -25,12 +25,13 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"time"
 
 	"airct/internal/logic"
+	"airct/internal/panics"
 )
 
 // flightKey identifies one unit of deduplicatable work. Salt folds the
@@ -117,21 +118,25 @@ func (s *Server) doFlight(ctx context.Context, key flightKey, timeout time.Durat
 	return s.waitFlight(ctx, f, false)
 }
 
-// runFlight runs a leader's work, recovering a panic into errPanicked so
-// one faulty analysis fails its own flight with a 500 instead of killing
-// the daemon and every other in-flight request. Only the leader
-// goroutine's own stack is covered: a panic on a goroutine the analysis
-// starts itself is not recoverable here.
+// runFlight runs a leader's work, turning a panic into errPanicked so one
+// faulty analysis fails its own flight with a 500 instead of killing the
+// daemon and every other in-flight request. A panic on the leader's own
+// stack is recovered here; one on a goroutine the analysis starts itself
+// (a Tier 2 racer, a guarded seed worker) is recovered there and arrives as
+// a *panics.Error. Both are counted and logged alike.
 func (s *Server) runFlight(ctx context.Context, key flightKey, fn func(ctx context.Context) (any, error)) (val any, err error) {
 	defer func() {
-		if p := recover(); p != nil {
-			s.metrics.flightsPanicked.Add(1)
-			if s.cfg.Logf != nil {
-				s.cfg.Logf("serve: analysis panicked (set %v, instance %v): %v\n%s", key.set, key.inst, p, debug.Stack())
-			}
-			val, err = nil, fmt.Errorf("%w: %v", errPanicked, p)
+		var pe *panics.Error
+		if !errors.As(err, &pe) {
+			return
 		}
+		s.metrics.flightsPanicked.Add(1)
+		if s.cfg.Logf != nil {
+			s.cfg.Logf("serve: analysis panicked (set %v, instance %v): %v\n%s", key.set, key.inst, pe, pe.Stack)
+		}
+		val, err = nil, fmt.Errorf("%w: %v", errPanicked, pe)
 	}()
+	defer panics.Recover(&err, "analysis")
 	return fn(ctx)
 }
 
